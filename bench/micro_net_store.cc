@@ -1,8 +1,8 @@
 // Ablation for the networked slice store: armus-kv round-trip costs
 // (PUT_SLICE, LIST_SLICES, full publish+check rounds) against the
-// in-process store, plus the SharedStore/SliceCache decode-caching win —
-// repeated blocked_count()/snapshot() over unchanged slices is O(changed),
-// shown by the decodes counter staying flat.
+// in-process store, plus the dist::CachedSliceReader decode-caching win —
+// repeated reads over unchanged slices are O(changed), shown by the
+// decodes counter staying flat.
 //
 // Two modes:
 //   * default              — the Google Benchmark suite below.
@@ -123,57 +123,65 @@ void BM_RemotePublishCheckRound(benchmark::State& state) {
 }
 BENCHMARK(BM_RemotePublishCheckRound)->Arg(2)->Arg(8)->Arg(32);
 
-/// The decode-cache win: blocked_count over N sites when slices never
+/// One read through `reader`: a change-narrowed fetch, then the merged
+/// status count.
+std::size_t read_count(dist::CachedSliceReader& reader,
+                       const dist::SliceStore& store) {
+  reader.read(store);
+  return reader.merged_count();
+}
+
+/// The decode-cache win: a merged count over N sites when slices never
 /// change between reads. `decodes_per_read` collapses to ~0 with the
 /// version cache (every payload served from cache); it would be N without.
-void BM_SharedStoreBlockedCountUnchanged(benchmark::State& state) {
+void BM_CachedSliceReaderCountUnchanged(benchmark::State& state) {
   auto backing = std::make_shared<dist::Store>();
   int sites = static_cast<int>(state.range(0));
   std::string payload = dist::encode_statuses(synthetic_statuses(32));
   for (dist::SiteId s = 1; s <= static_cast<dist::SiteId>(sites); ++s) {
     backing->put_slice(s, payload);
   }
-  dist::SharedStore store(backing, 0);
-  (void)store.blocked_count();  // warm the cache
-  std::uint64_t decodes_before = store.decode_count();
+  dist::CachedSliceReader reader;
+  (void)read_count(reader, *backing);  // warm the cache
+  std::uint64_t decodes_before = reader.decodes();
   std::uint64_t reads = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.blocked_count());
+    benchmark::DoNotOptimize(read_count(reader, *backing));
     ++reads;
   }
   state.counters["sites"] = static_cast<double>(sites);
   state.counters["decodes_per_read"] =
       reads == 0 ? 0.0
-                 : static_cast<double>(store.decode_count() - decodes_before) /
+                 : static_cast<double>(reader.decodes() - decodes_before) /
                        static_cast<double>(reads);
 }
-BENCHMARK(BM_SharedStoreBlockedCountUnchanged)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_CachedSliceReaderCountUnchanged)->Arg(4)->Arg(16)->Arg(64);
 
 /// Worst case for the cache: every read follows a republish of one slice,
 /// so each round decodes exactly the changed slice (O(changed), not O(N)).
-void BM_SharedStoreBlockedCountOneChanged(benchmark::State& state) {
+void BM_CachedSliceReaderCountOneChanged(benchmark::State& state) {
   auto backing = std::make_shared<dist::Store>();
   int sites = static_cast<int>(state.range(0));
   std::string payload = dist::encode_statuses(synthetic_statuses(32));
   for (dist::SiteId s = 1; s <= static_cast<dist::SiteId>(sites); ++s) {
     backing->put_slice(s, payload);
   }
-  dist::SharedStore store(backing, 0);
-  (void)store.blocked_count();
-  std::uint64_t decodes_before = store.decode_count();
+  dist::CachedSliceReader reader;
+  (void)read_count(reader, *backing);
+  std::uint64_t decodes_before = reader.decodes();
   std::uint64_t reads = 0;
   for (auto _ : state) {
     backing->put_slice(1, payload);  // bump one slice's version
-    benchmark::DoNotOptimize(store.blocked_count());
+    benchmark::DoNotOptimize(read_count(reader, *backing));
     ++reads;
   }
   state.counters["sites"] = static_cast<double>(sites);
   state.counters["decodes_per_read"] =
       reads == 0 ? 0.0
-                 : static_cast<double>(store.decode_count() - decodes_before) /
+                 : static_cast<double>(reader.decodes() - decodes_before) /
                        static_cast<double>(reads);
 }
-BENCHMARK(BM_SharedStoreBlockedCountOneChanged)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_CachedSliceReaderCountOneChanged)->Arg(4)->Arg(16)->Arg(64);
 
 // --- deterministic JSON mode (--json-out) ------------------------------------
 
@@ -237,9 +245,9 @@ void emit_publish_latency(std::ostringstream& json) {
        << "      }\n    }";
 }
 
-/// The SharedStore decode-cache invariants as exact counters: reads over an
-/// unchanged store decode nothing; each read after one republish decodes
-/// exactly the one changed slice.
+/// The CachedSliceReader decode-cache invariants as exact counters: reads
+/// over an unchanged store decode nothing; each read after one republish
+/// decodes exactly the one changed slice.
 void emit_decode_cache(std::ostringstream& json) {
   constexpr int kSites = 16;
   constexpr int kReads = 200;
@@ -247,19 +255,19 @@ void emit_decode_cache(std::ostringstream& json) {
   auto backing = std::make_shared<dist::Store>();
   std::string payload = dist::encode_statuses(synthetic_statuses(32));
   for (dist::SiteId s = 1; s <= kSites; ++s) backing->put_slice(s, payload);
-  dist::SharedStore store(backing, 0);
-  (void)store.blocked_count();  // warm the cache: every slice decodes once
+  dist::CachedSliceReader reader;
+  (void)read_count(reader, *backing);  // warm the cache: every slice decodes once
 
-  std::uint64_t before = store.decode_count();
-  for (int i = 0; i < kReads; ++i) (void)store.blocked_count();
-  std::uint64_t decodes_unchanged = store.decode_count() - before;
+  std::uint64_t before = reader.decodes();
+  for (int i = 0; i < kReads; ++i) (void)read_count(reader, *backing);
+  std::uint64_t decodes_unchanged = reader.decodes() - before;
 
-  before = store.decode_count();
+  before = reader.decodes();
   for (int i = 0; i < kReads; ++i) {
     backing->put_slice(1, payload);  // bump one slice's version
-    (void)store.blocked_count();
+    (void)read_count(reader, *backing);
   }
-  std::uint64_t decodes_one_changed = store.decode_count() - before;
+  std::uint64_t decodes_one_changed = reader.decodes() - before;
 
   json << "    {\n      \"name\": \"decode_cache\",\n"
        << "      \"sites\": " << kSites << ",\n"

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -11,14 +12,14 @@
 /// The paper's architecture separates *maintaining* the blocked statuses
 /// (frequent, per-task) from *checking* them (periodic, whole-snapshot).
 /// This interface is the seam between the two: a Verifier performs every
-/// state read/write through it, so the same verification layer runs against
+/// state read/write through it. The library's implementation is the
+/// process-local DependencyState (sharded, lock-striped); wrappers around
+/// it (timing probes, test schedulers) plug in through VerifierConfig::store.
 ///
-///   * a process-local store (DependencyState — sharded, lock-striped), or
-///   * a store shared by several Verifiers in one process (pass one
-///     DependencyState to many VerifierConfigs), or
-///   * a site slice of a distributed global store (dist::SharedStore, the
-///     §5.2 multi-site deployment where per-site Armus instances publish
-///     into one logically-shared store).
+/// One Verifier holds a store at a time: the Verifier constructor claims
+/// it and throws std::invalid_argument if another live Verifier already
+/// holds it. Statuses are shared between Verifiers only as dist::Site
+/// slices, which carry each task's registrations (§5.2).
 namespace armus {
 
 class StateStore {
@@ -36,11 +37,10 @@ class StateStore {
   virtual void clear_blocked(TaskId task) = 0;
 
   /// Copies all current blocked statuses, sorted by task id so downstream
-  /// graph construction (and tests) are deterministic. For shared stores
-  /// this is the *merged* view over every publisher.
+  /// graph construction (and tests) are deterministic.
   [[nodiscard]] virtual std::vector<BlockedStatus> snapshot() const = 0;
 
-  /// Number of currently blocked tasks (merged view for shared stores).
+  /// Number of currently blocked tasks.
   [[nodiscard]] virtual std::size_t blocked_count() const = 0;
 
   /// Removes every status this store is responsible for (used between test
@@ -49,10 +49,10 @@ class StateStore {
 
   /// Monotonic change epoch: advances whenever the store's visible contents
   /// change (a successful set_blocked that alters a status, a clear_blocked
-  /// that removes one, a clear of a non-empty store — and, for shared
-  /// stores, any other publisher's change). Two equal non-zero epochs mean
-  /// "nothing changed in between", which is what lets a periodic checker
-  /// skip the snapshot + graph build entirely at steady state.
+  /// that removes one, a clear of a non-empty store). Two equal non-zero
+  /// epochs mean "nothing changed in between", which is what lets a
+  /// periodic checker skip the snapshot + graph build entirely at steady
+  /// state.
   ///
   /// Returns kUnversioned (0) when the implementation cannot provide the
   /// guarantee; callers must then treat every read as potentially changed.
@@ -61,6 +61,11 @@ class StateStore {
 
   /// The version() sentinel of stores that cannot track change epochs.
   static constexpr std::uint64_t kUnversioned = 0;
+
+ private:
+  friend class Verifier;
+  /// Set while a Verifier holds this store (see the namespace comment).
+  std::atomic<bool> claimed_{false};
 };
 
 }  // namespace armus

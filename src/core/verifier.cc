@@ -65,6 +65,11 @@ Verifier::Verifier(VerifierConfig config)
       store_(config_.store ? config_.store
                            : std::make_shared<DependencyState>()),
       incremental_(config_.model) {
+  if (store_->claimed_.exchange(true)) {
+    throw std::invalid_argument(
+        "this StateStore is held by another live Verifier; Verifiers share "
+        "statuses through dist::Site slices (dist::Cluster in one process)");
+  }
   if (!config_.on_deadlock) {
     config_.on_deadlock = [this](const DeadlockReport& report) {
       util::log_error(describe(report));
@@ -76,7 +81,10 @@ Verifier::Verifier(VerifierConfig config)
   start();
 }
 
-Verifier::~Verifier() { stop(); }
+Verifier::~Verifier() {
+  stop();
+  store_->claimed_.store(false);
+}
 
 void Verifier::start() {
   if (config_.mode != VerifyMode::kDetection || !config_.scanner_enabled) return;
@@ -216,40 +224,46 @@ void Verifier::record_check(const CheckResult& result) {
 
 void Verifier::before_block(const BlockedStatus& status) {
   if (config_.mode == VerifyMode::kOff) return;
-  // Observer before store: any analysis that sees this status snapshots
-  // after set_blocked committed, hence after the BLOCKED record — so its
-  // SCAN record lands later in the trace and a replay at that scan point
-  // sees the same state the live checker saw.
+  if (config_.mode == VerifyMode::kAvoidance) {
+    publish_and_check_doomed(status);
+    return;
+  }
   publish_blocked(status);
-  if (config_.mode != VerifyMode::kAvoidance) return;
-  check_doomed_or_throw(status.task);
 }
 
 void Verifier::recheck_blocked(const BlockedStatus& status) {
   if (config_.mode != VerifyMode::kAvoidance) return;
-  publish_blocked(status);
-  check_doomed_or_throw(status.task);
+  publish_and_check_doomed(status);
 }
 
 void Verifier::publish_blocked(const BlockedStatus& status) {
+  // Observer before store: any analysis that sees this status snapshots
+  // after set_blocked committed, hence after the BLOCKED record — so its
+  // SCAN record lands later in the trace and a replay at that scan point
+  // sees the same state the live checker saw.
   EventObserver* obs = config_.observer.get();
   if (obs) obs->on_blocked(status);
   try {
     store_->set_blocked(status);
   } catch (...) {
     // The publish failed (e.g. a store outage): checkers still see the
-    // task's *previous* visible status (stores withdraw a failed update —
-    // see SharedStore::set_blocked), so the observer must roll the record
-    // back the same way.
+    // task's *previous* visible status (a store withdraws a failed
+    // update), so the observer must roll the record back the same way.
     if (obs) obs->on_block_rollback(status.task);
     throw;
   }
 }
 
-void Verifier::check_doomed_or_throw(TaskId task) {
-  // No epoch bookkeeping here: avoidance mode runs no scanner, the
-  // preceding set_blocked moved the epoch anyway, and reading it would
-  // cost remote-backed stores an extra round trip on the blocking path.
+void Verifier::publish_and_check_doomed(const BlockedStatus& status) {
+  // One critical section from publish to withdrawal: a cycle this block
+  // closes is broken by the withdrawal below before another task's doom
+  // check can see it, so a task merely waiting behind that cycle is never
+  // interrupted for it.
+  std::lock_guard<std::mutex> avoid_lock(avoid_mutex_);
+  const TaskId task = status.task;
+  publish_blocked(status);
+  // No epoch bookkeeping here: avoidance mode runs no scanner, and the
+  // preceding set_blocked moved the epoch anyway.
   auto snapshot = current_snapshot();
   CheckResult result;
   bool doomed = false;

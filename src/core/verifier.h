@@ -59,11 +59,11 @@ struct VerifierConfig {
 
   /// The blocked-status store this Verifier reads and writes. nullptr (the
   /// default) gives the Verifier a fresh process-local DependencyState.
-  /// Passing the same store to several configs makes their Verifiers
-  /// publish into — and check against — one shared state, so a checker at
-  /// any of them sees cross-verifier cycles (the in-process analogue of the
-  /// §5.2 shared global store; dist::SharedStore plugs in an actual
-  /// multi-site store slice here).
+  /// The seam is for wrappers (timing probes, test schedulers): the
+  /// Verifier claims the store, and constructing a second Verifier on a
+  /// store that a live one holds throws std::invalid_argument. Verifiers
+  /// that must see each other's tasks are dist::Site instances over one
+  /// dist::SliceStore (dist::Cluster in one process).
   std::shared_ptr<StateStore> store;
 
   /// Invoked by the detection scanner once per newly found deadlock
@@ -75,8 +75,8 @@ struct VerifierConfig {
   /// registry), analyses, and reports. nullptr (the default) = none.
   /// `trace::Recorder` plugs in here to persist the run; core/ knows only
   /// this interface. The env spelling lives at the top of the stack:
-  /// `net::verifier_config_from_env()` attaches a recorder when
-  /// ARMUS_TRACE names a path.
+  /// `obs::observer_from_env()` returns the recorder ARMUS_TRACE names
+  /// (dist::Site attaches it by default).
   std::shared_ptr<EventObserver> observer;
 
   /// Reads ARMUS_MODE, ARMUS_GRAPH_MODEL, ARMUS_CHECK_PERIOD_MS,
@@ -99,6 +99,8 @@ class DeadlockAvoidedError : public std::runtime_error {
 
 class Verifier {
  public:
+  /// Claims `config.store`; throws std::invalid_argument when another
+  /// live Verifier holds it.
   explicit Verifier(VerifierConfig config = {});
   ~Verifier();
 
@@ -109,7 +111,10 @@ class Verifier {
 
   /// Publishes `status` ahead of the task blocking. In avoidance mode, runs
   /// the check; if the task would never unblock, withdraws the status and
-  /// throws DeadlockAvoidedError. In detection mode simply records it.
+  /// throws DeadlockAvoidedError. Publish, check and withdrawal form one
+  /// critical section per Verifier, so another task's doom check never
+  /// sees a cycle this block closed and is about to withdraw. In detection
+  /// mode simply records it.
   void before_block(const BlockedStatus& status);
 
   /// Withdraws the blocked status once the task resumes (or gives up).
@@ -160,7 +165,7 @@ class Verifier {
   [[nodiscard]] GraphModel model() const { return config_.model; }
   [[nodiscard]] const VerifierConfig& config() const { return config_; }
 
-  /// The blocked-status store (local by default, possibly shared — see
+  /// The blocked-status store (local by default, possibly a wrapper — see
   /// VerifierConfig::store). All of the Verifier's own reads/writes go
   /// through this interface too.
   StateStore& state() { return *store_; }
@@ -239,13 +244,19 @@ class Verifier {
   /// Records `epoch` after a successful analysis. Caller holds check_mutex_.
   void commit_epoch_locked(const Epoch& epoch);
 
-  /// Runs the avoidance analysis for `task`; throws DeadlockAvoidedError
-  /// (after withdrawing the task's status) when it can never unblock.
-  void check_doomed_or_throw(TaskId task);
+  /// Avoidance mode: publishes `status`, runs the doom check and, when the
+  /// task can never unblock, withdraws the status and throws
+  /// DeadlockAvoidedError — all under avoid_mutex_.
+  void publish_and_check_doomed(const BlockedStatus& status);
 
   VerifierConfig config_;
   std::shared_ptr<StateStore> store_;
   TaskRegistry registry_;
+
+  /// Avoidance mode's critical section: held across one task's publish,
+  /// doom check and withdrawal. Outermost lock: taken before check_mutex_
+  /// and mutex_, never while holding either.
+  std::mutex avoid_mutex_;
 
   /// Guards the incremental checker and the epoch bookkeeping. The two
   /// mutexes DO nest (scan_now's skip branch and check_now's cached branch

@@ -442,10 +442,8 @@ CachedSliceReader::Read CachedSliceReader::read(
   std::lock_guard<std::mutex> lock(mutex_);
   if (delta.version == 0) {
     // Unversioned backend: every read is a full, applied read.
-    unversioned_ = true;
     cache_.apply(delta, on_corrupt);
     primed_ = true;
-    ++change_token_;
     return {Outcome::kApplied, delta.changed.size()};
   }
   if (full_refetch) {
@@ -470,7 +468,6 @@ CachedSliceReader::Read CachedSliceReader::read(
   seen_version_ = delta.version;
   seen_generation_ = delta.generation;
   primed_ = true;
-  ++change_token_;
   return {Outcome::kApplied, delta.changed.size()};
 }
 
@@ -484,110 +481,9 @@ std::size_t CachedSliceReader::merged_count() const {
   return cache_.merged_count();
 }
 
-std::uint64_t CachedSliceReader::change_token() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return change_token_;
-}
-
-bool CachedSliceReader::backend_unversioned() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return unversioned_;
-}
-
 std::uint64_t CachedSliceReader::decodes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return cache_.decodes();
-}
-
-// --- SharedStore -------------------------------------------------------------
-
-SharedStore::SharedStore(std::shared_ptr<SliceStore> store, SiteId site)
-    : store_(std::move(store)), site_(site) {}
-
-SharedStore::~SharedStore() {
-  try {
-    store_->remove_slice(site_);
-  } catch (const StoreUnavailableError&) {
-    // A slice stranded by an outage is the crash case: survivors cope.
-  }
-}
-
-void SharedStore::flush_locked() {
-  std::vector<BlockedStatus> batch;
-  batch.reserve(mirror_.size());
-  for (const auto& [task, status] : mirror_) batch.push_back(status);
-  store_->put_slice(site_, encode_statuses(batch));
-}
-
-void SharedStore::set_blocked(BlockedStatus status) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TaskId task = status.task;
-  auto it = mirror_.find(task);
-  if (it != mirror_.end() && it->second == status) return;  // no-op republish
-  BlockedStatus previous;
-  bool had_previous = it != mirror_.end();
-  if (had_previous) previous = it->second;
-  mirror_[task] = std::move(status);
-  try {
-    flush_locked();
-  } catch (...) {
-    // Keep mirror and store consistent: withdraw the failed update.
-    if (had_previous) {
-      mirror_[task] = std::move(previous);
-    } else {
-      mirror_.erase(task);
-    }
-    throw;
-  }
-}
-
-void SharedStore::clear_blocked(TaskId task) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = mirror_.find(task);
-  if (it == mirror_.end()) return;
-  BlockedStatus previous = std::move(it->second);
-  mirror_.erase(it);
-  try {
-    flush_locked();
-  } catch (...) {
-    mirror_[task] = std::move(previous);
-    throw;
-  }
-}
-
-std::vector<BlockedStatus> SharedStore::snapshot() const {
-  reader_.read(*store_);
-  return reader_.merged();
-}
-
-std::size_t SharedStore::blocked_count() const {
-  reader_.read(*store_);
-  return reader_.merged_count();
-}
-
-std::uint64_t SharedStore::version() const {
-  // Over an unversioned backend a change probe costs a full read and
-  // proves nothing — report kUnversioned (callers then never skip)
-  // without touching the store again.
-  if (reader_.backend_unversioned()) return StateStore::kUnversioned;
-  reader_.read(*store_);
-  if (reader_.backend_unversioned()) return StateStore::kUnversioned;
-  return reader_.change_token();
-}
-
-std::uint64_t SharedStore::decode_count() const { return reader_.decodes(); }
-
-void SharedStore::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (mirror_.empty()) return;
-  auto previous = std::move(mirror_);
-  mirror_.clear();
-  try {
-    flush_locked();
-  } catch (...) {
-    mirror_ = std::move(previous);
-    throw;
-  }
 }
 
 }  // namespace armus::dist

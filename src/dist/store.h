@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/state_store.h"
 #include "dist/codec.h"
 
 /// The shared global store of the distributed deployment (§5.2): sites
@@ -97,8 +96,8 @@ struct DeltaSnapshot {
   std::vector<SiteId> live_sites;
 };
 
-/// The slice API every store backend exposes. Site/Cluster and
-/// SharedStore run unchanged over any implementation; backends signal
+/// The slice API every store backend exposes. Site/Cluster run unchanged
+/// over any implementation; backends signal
 /// unavailability (outage, network failure) with StoreUnavailableError
 /// and callers map that onto the periodic-retry path.
 class SliceStore {
@@ -319,8 +318,8 @@ std::vector<BlockedStatus> merge_slices(
 /// per-check-proportional-to-change property the periodic checkers need
 /// at scale. Entries for sites that vanish from the snapshot are evicted.
 ///
-/// Not internally synchronised; callers (SharedStore, Site) hold their
-/// own lock around it.
+/// Not internally synchronised; CachedSliceReader holds its own lock
+/// around it.
 class SliceCache {
  public:
   /// Applies a change-narrowed read: decodes the changed slices and evicts
@@ -360,8 +359,8 @@ class SliceCache {
 
 /// The guarded read path every slice-store consumer shares: one
 /// change-narrowed fetch (snapshot_since) plus the restart and concurrency
-/// handling, feeding a SliceCache, behind its own lock. SharedStore and
-/// Site::check_now both read through one of these, so the restart rules —
+/// handling, feeding a SliceCache, behind its own lock. Site::check_now
+/// reads through one of these, so the restart rules —
 /// boot-generation mismatch or version regression ⇒ drop the cache and
 /// refetch from zero; a response older than what a concurrent reader
 /// already applied ⇒ discard — live in exactly one place.
@@ -389,18 +388,6 @@ class CachedSliceReader {
   [[nodiscard]] std::vector<BlockedStatus> merged() const;
   [[nodiscard]] std::size_t merged_count() const;
 
-  /// Monotonic local change token: bumped by every applied delta, stable
-  /// across unchanged reads. Unlike the raw store version it cannot repeat
-  /// across store restarts (a generation change forces an applied
-  /// refetch), so it is safe to use as a StateStore epoch. 0 until the
-  /// first applied read.
-  [[nodiscard]] std::uint64_t change_token() const;
-
-  /// True once a read has shown the backend to be unversioned
-  /// (DeltaSnapshot::version == 0): every read applies in full and cheap
-  /// change probes are pointless.
-  [[nodiscard]] bool backend_unversioned() const;
-
   /// Cumulative payload decodes (SliceCache::decodes passthrough).
   [[nodiscard]] std::uint64_t decodes() const;
 
@@ -409,79 +396,7 @@ class CachedSliceReader {
   SliceCache cache_;
   std::uint64_t seen_version_ = 0;
   std::uint64_t seen_generation_ = 0;
-  std::uint64_t change_token_ = 0;
   bool primed_ = false;
-  bool unversioned_ = false;
-};
-
-/// A StateStore that *is* a site's window onto the shared store: every
-/// mutation re-encodes this site's slice and writes it through, and every
-/// read decodes the merged snapshot of all sites. Plugging one of these
-/// into VerifierConfig::store yields the §5.2 "Verifier bound to the shared
-/// store" — its checker sees the whole cluster's blocked statuses, while
-/// its blocking hooks publish only this site's tasks.
-///
-/// dist::Site instead batches its publishes on a period (write-through on
-/// every block/unblock costs a store round-trip per event); SharedStore is
-/// the strongly consistent variant for in-process sharing, tests, and the
-/// ARMUS_STORE=tcp://… env path (over a net::RemoteStore backend).
-///
-/// Store outages surface as StoreUnavailableError from the mutating and
-/// reading calls; the local mirror stays coherent, so the next successful
-/// write re-publishes the full slice.
-class SharedStore final : public StateStore {
- public:
-  SharedStore(std::shared_ptr<SliceStore> store, SiteId site);
-
-  /// Removes this site's slice on clean destruction; a crashed site (one
-  /// that never destructs) leaves its slice for the survivors to analyse.
-  ~SharedStore() override;
-
-  void set_blocked(BlockedStatus status) override;
-  void clear_blocked(TaskId task) override;
-
-  /// The merged, decoded view of *every* site's slice, sorted by task.
-  /// Reads are change-narrowed (snapshot_since): only slices that changed
-  /// since this store's last read travel and decode.
-  [[nodiscard]] std::vector<BlockedStatus> snapshot() const override;
-  [[nodiscard]] std::size_t blocked_count() const override;
-
-  /// Clears this site's tasks (not other sites').
-  void clear() override;
-
-  /// The StateStore change epoch, derived from the backing store's change
-  /// version and boot generation — any site's publish (or removal)
-  /// advances it, and a store restart can never repeat an epoch (the
-  /// generation forces a fresh value even when the new store's counters
-  /// collide with the old ones). Costs one snapshot_since round trip,
-  /// which is payload-free while nothing changed; the fetched changes
-  /// feed the decode cache, so a following snapshot() is served without
-  /// re-transfer. Returns kUnversioned over a backend whose
-  /// snapshot_since is the unversioned fallback (detected after the
-  /// first read; thereafter free).
-  [[nodiscard]] std::uint64_t version() const override;
-
-  [[nodiscard]] SiteId site() const { return site_; }
-  [[nodiscard]] const std::shared_ptr<SliceStore>& backing() const {
-    return store_;
-  }
-
-  /// Payload decodes performed by snapshot()/blocked_count() so far; stays
-  /// flat across repeated calls while no slice changes.
-  [[nodiscard]] std::uint64_t decode_count() const;
-
- private:
-  /// Re-encodes the mirror and publishes it; caller holds mutex_.
-  void flush_locked();
-
-  std::shared_ptr<SliceStore> store_;
-  SiteId site_;
-  mutable std::mutex mutex_;
-  /// This site's statuses, ordered by task for a deterministic encoding.
-  std::map<TaskId, BlockedStatus> mirror_;
-  /// The shared guarded read path (self-locked): change-narrowed fetches,
-  /// restart handling, decode cache.
-  mutable CachedSliceReader reader_;
 };
 
 }  // namespace armus::dist

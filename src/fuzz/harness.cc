@@ -7,8 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/dependency_state.h"
-#include "dist/store.h"
+#include "dist/site.h"
 #include "fuzz/mutator.h"
 #include "trace/replayer.h"
 
@@ -19,24 +18,53 @@ namespace {
 constexpr GraphModel kModels[4] = {GraphModel::kWfg, GraphModel::kSg,
                                    GraphModel::kGrg, GraphModel::kAuto};
 
-/// One full offline replay; returns the sorted fingerprints of the
-/// deduplicated replay-found cycles (order-free verdict identity).
-std::vector<std::uint64_t> replay(const trace::MergedTrace& trace,
-                                  GraphModel model,
-                                  std::shared_ptr<StateStore> store) {
+/// Sorted fingerprints of deduplicated reports (order-free verdict
+/// identity).
+std::vector<std::uint64_t> fingerprints(const std::vector<DeadlockReport>& reports) {
+  std::vector<std::uint64_t> out;
+  out.reserve(reports.size());
+  for (const DeadlockReport& report : reports) out.push_back(report.fingerprint());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// One full offline replay against a local DependencyState.
+std::vector<std::uint64_t> replay_local(const trace::MergedTrace& trace,
+                                        GraphModel model) {
   trace::OfflineVerifier::Options options;
   options.model = model;
-  options.store = std::move(store);
   options.final_scan = true;
-  trace::OfflineVerifier verifier(options);
-  trace::OfflineVerifier::Result result = verifier.run(trace);
-  std::vector<std::uint64_t> fingerprints;
-  fingerprints.reserve(result.replayed.size());
-  for (const DeadlockReport& report : result.replayed) {
-    fingerprints.push_back(report.fingerprint());
+  return fingerprints(trace::OfflineVerifier(options).run(trace).replayed);
+}
+
+/// The same replay through a dist::Site over an in-process dist::Store:
+/// records land in the site's verifier, and every SCAN (plus one final
+/// check) publishes the slice and checks the merged snapshot, so the
+/// codec, delta publishes and the CachedSliceReader stand between the
+/// state and the verdict.
+std::vector<std::uint64_t> replay_through_site(const trace::MergedTrace& trace,
+                                               GraphModel model) {
+  dist::Site::Config config;
+  config.id = 1;
+  config.model = model;
+  // An explicit no-op observer: the replay must not feed the process's
+  // env-configured trace or event stream.
+  config.observer = std::make_shared<EventObserver>();
+  dist::Site site(config, std::make_shared<dist::Store>());
+  trace::Replayer replayer(&site.verifier().state(), &site.verifier().registry());
+  auto scan = [&] {
+    site.publish_now();
+    site.check_now();
+  };
+  for (const trace::TimedRecord& timed : trace.records()) {
+    if (timed.record.type == trace::RecordType::kScan) {
+      scan();
+    } else {
+      replayer.apply(timed.record);  // REPORT records are ignored
+    }
   }
-  std::sort(fingerprints.begin(), fingerprints.end());
-  return fingerprints;
+  scan();
+  return fingerprints(site.reported());
 }
 
 }  // namespace
@@ -77,24 +105,22 @@ std::optional<std::string> check_trace(const std::string& bytes,
   for (std::size_t m = 0; m < 4; ++m) {
     std::vector<std::uint64_t> local;
     try {
-      local = replay(trace, kModels[m], nullptr);
+      local = replay_local(trace, kModels[m]);
     } catch (const std::exception& e) {
       return "replay (model " + to_string(kModels[m]) +
              ", local store) raised: " + e.what();
     }
-    std::vector<std::uint64_t> shared;
+    std::vector<std::uint64_t> site;
     try {
-      shared = replay(trace, kModels[m],
-                      std::make_shared<dist::SharedStore>(
-                          std::make_shared<dist::Store>(), 1));
+      site = replay_through_site(trace, kModels[m]);
     } catch (const std::exception& e) {
       return "replay (model " + to_string(kModels[m]) +
-             ", shared store) raised: " + e.what();
+             ", site) raised: " + e.what();
     }
-    if (local != shared) {
+    if (local != site) {
       return "backend divergence under model " + to_string(kModels[m]) +
              ": local found " + std::to_string(local.size()) +
-             " cycle(s), shared " + std::to_string(shared.size());
+             " cycle(s), site " + std::to_string(site.size());
     }
     v->cycles[m] = local.size();
   }

@@ -12,9 +12,9 @@
 ///
 ///   every byte string either fails to decode with trace::TraceError, or
 ///   decodes into records that replay cleanly under **all four graph
-///   models and both store backends** (a fresh DependencyState and a
-///   dist::SharedStore over an in-process dist::Store), with identical
-///   deadlock verdicts across the backends.
+///   models and both backends** (a fresh DependencyState, and a dist::Site
+///   over an in-process dist::Store that publishes and checks at every
+///   recorded scan), with identical deadlock verdicts across the backends.
 ///
 /// Never a crash, never a foreign exception, never a backend divergence.
 /// Anything else is a Violation, and its mutant bytes are the repro.

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/env.h"
 #include "util/env.h"
 
 namespace armus::net {
@@ -74,19 +73,24 @@ std::shared_ptr<dist::SliceStore> slice_store_from_env() {
   return remote_store_from_url(*url);
 }
 
-VerifierConfig verifier_config_from_env() {
-  VerifierConfig config = VerifierConfig::from_env();
-  std::shared_ptr<dist::SliceStore> backend = slice_store_from_env();
-  if (backend) {
-    auto site = static_cast<dist::SiteId>(util::env_int("ARMUS_SITE_ID", 0));
-    config.store = std::make_shared<dist::SharedStore>(std::move(backend), site);
+std::unique_ptr<dist::Site> site_from_env(dist::Site::Config base) {
+  std::shared_ptr<dist::SliceStore> store = slice_store_from_env();
+  if (!store) return nullptr;
+  // The Verifier's env parser validates every variable the two share.
+  VerifierConfig env = VerifierConfig::from_env();
+  if (env.mode != VerifyMode::kDetection) {
+    throw std::invalid_argument("ARMUS_MODE=" + to_string(env.mode) +
+                                " with ARMUS_STORE set: a site only detects");
   }
-  // ARMUS_TRACE=<path>: the run records itself (docs/TRACE_FORMAT.md);
-  // ARMUS_EVENTS=<path|stderr>: the run streams JSONL events
-  // (docs/OBSERVABILITY.md). Both set: one fan-out observer feeds both —
-  // every env-configured verifier in the process shares the instances.
-  config.observer = obs::observer_from_env();
-  return config;
+  base.id = static_cast<dist::SiteId>(util::env_int("ARMUS_SITE_ID", base.id));
+  if (util::env_str("ARMUS_GRAPH_MODEL")) base.model = env.model;
+  if (util::env_str("ARMUS_CHECK_PERIOD_MS")) {
+    base.publish_period = env.period;
+    base.check_period = env.period;
+  }
+  auto site = std::make_unique<dist::Site>(std::move(base), std::move(store));
+  site->start();
+  return site;
 }
 
 }  // namespace armus::net

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/verifier.h"
+#include "dist/site.h"
 #include "dist/store.h"
 #include "net/remote_store.h"
 
@@ -17,8 +17,11 @@
 ///                                 comma-separated list (tcp://a:p,tcp://b:p)
 ///                                 names the whole primary+replica pair and
 ///                                 the client fails over between them
-///   ARMUS_STORE unset             in-process store (single address space)
-///   ARMUS_SITE_ID=N               this process's site id (default 0)
+///   ARMUS_STORE unset             no shared store: site_from_env returns
+///                                 nullptr and the program keeps its
+///                                 process-local Verifier
+///   ARMUS_SITE_ID=N               this process's site id (default: the
+///                                 site_from_env base's, 0)
 ///   ARMUS_AUTH_TOKEN=secret       AUTH on every (re)connect (servers
 ///                                 configured with the same token require
 ///                                 it before mutating ops)
@@ -45,14 +48,20 @@ std::shared_ptr<RemoteStore> remote_store_from_url(
 /// silently demote a deployment to a process-local store.
 std::shared_ptr<dist::SliceStore> slice_store_from_env();
 
-/// VerifierConfig::from_env() plus backend selection: when ARMUS_STORE
-/// names a server, the config's store becomes a dist::SharedStore slice
-/// (site ARMUS_SITE_ID) over a RemoteStore — so a plain Verifier built
-/// from this config publishes its blocked statuses into armus-kv and its
-/// checker sees every process's statuses. When ARMUS_TRACE names a path,
-/// the config's observer becomes the process's trace::Recorder, so the
-/// run is captured for offline replay (`armus-trace verify`) with no
-/// code changes.
-VerifierConfig verifier_config_from_env();
+/// The env path of the §5.2 deployment: a started dist::Site over
+/// remote_store_from_url(ARMUS_STORE). The program binds its tasks to
+/// `site->verifier()`; the site publishes their statuses, registrations
+/// included, and checks the merged snapshot of every process.
+///
+/// `base` supplies everything the environment does not name. The site id
+/// comes from ARMUS_SITE_ID and the graph model from ARMUS_GRAPH_MODEL;
+/// ARMUS_CHECK_PERIOD_MS, when set, gives both the publish and the check
+/// period. The site's observer defaults to obs::observer_from_env()
+/// (ARMUS_TRACE, ARMUS_EVENTS).
+///
+/// Returns nullptr when ARMUS_STORE is unset. Throws std::invalid_argument
+/// on a malformed value, and when ARMUS_MODE names anything but detection:
+/// a site only detects.
+std::unique_ptr<dist::Site> site_from_env(dist::Site::Config base = {});
 
 }  // namespace armus::net

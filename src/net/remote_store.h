@@ -15,9 +15,9 @@
 #include "util/rng.h"
 
 /// The client side of armus-kv: a dist::SliceStore whose operations are
-/// request/response exchanges with a KvServer over TCP. dist::Site,
-/// Cluster and SharedStore run unchanged over one of these — that is the
-/// whole point of the SliceStore seam.
+/// request/response exchanges with a KvServer over TCP. dist::Site and
+/// Cluster run unchanged over one of these — that is the whole point of
+/// the SliceStore seam.
 ///
 /// Failure model: any network failure (connect refused, peer reset, torn
 /// or malformed response, server-side outage) closes the connection and

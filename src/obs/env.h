@@ -4,12 +4,12 @@
 
 #include "core/observer.h"
 
-/// The env spelling of observer attachment, in one place: everything that
-/// used to attach only the ARMUS_TRACE recorder (verifier_config_from_env,
-/// dist::Site's observer default) now goes through observer_from_env(),
-/// which composes every env-enabled listener. Lives in obs/ because it
-/// depends on trace/ (the recorder) — obs' reporter/registry parts depend
-/// only on core/.
+/// The env spelling of observer attachment, in one place: dist::Site's
+/// observer default (and so net::site_from_env) goes through
+/// observer_from_env(), which composes every env-enabled listener; a
+/// plain Verifier attaches it through VerifierConfig::observer. Lives in
+/// obs/ because it depends on trace/ (the recorder) — obs'
+/// reporter/registry parts depend only on core/.
 namespace armus::obs {
 
 /// The process's env-configured observer stack: the ARMUS_TRACE recorder

@@ -66,9 +66,4 @@ void export_stats(Registry& registry, const std::string& prefix,
   registry.counter_set(prefix + ".next_backoff_ms", stats.next_backoff_ms);
 }
 
-void export_stats(Registry& registry, const std::string& prefix,
-                  const dist::SharedStore& store) {
-  registry.counter_set(prefix + ".decodes", store.decode_count());
-}
-
 }  // namespace armus::obs

@@ -40,9 +40,4 @@ void export_stats(Registry& registry, const std::string& prefix,
 void export_stats(Registry& registry, const std::string& prefix,
                   const net::RemoteStore::Stats& stats);
 
-/// shared store: decodes (cumulative payload decodes — flat across
-/// unchanged reads, the O(changed) evidence).
-void export_stats(Registry& registry, const std::string& prefix,
-                  const dist::SharedStore& store);
-
 }  // namespace armus::obs

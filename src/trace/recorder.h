@@ -16,8 +16,8 @@
 /// Capture side of the trace subsystem: an EventObserver that persists
 /// everything it hears to a trace file. Attach one through
 /// `VerifierConfig::observer` (or `dist::Site::Config::observer`) and the
-/// run becomes replayable offline — `net::verifier_config_from_env()`,
-/// `dist::Site`, and the bench harness all do so automatically when
+/// run becomes replayable offline — `dist::Site` (hence
+/// `net::site_from_env()`) and the bench harness do so automatically when
 /// ARMUS_TRACE names a path.
 namespace armus::trace {
 

@@ -88,13 +88,10 @@ void Replayer::apply(const Record& record) {
 }
 
 OfflineVerifier::OfflineVerifier(Options options)
-    : options_(std::move(options)),
-      store_(options_.store ? options_.store
-                            : std::make_shared<DependencyState>()),
-      incremental_(options_.model) {}
+    : options_(std::move(options)), incremental_(options_.model) {}
 
 void OfflineVerifier::check_now(Result* result) {
-  std::vector<BlockedStatus> snapshot = merged_snapshot(*store_, registry_);
+  std::vector<BlockedStatus> snapshot = merged_snapshot(store_, registry_);
   CheckResult check = incremental_.check(snapshot);
   ++result->scans;
   for (DeadlockReport& report : check.reports) {
@@ -109,7 +106,7 @@ void OfflineVerifier::check_now(Result* result) {
 
 OfflineVerifier::Result OfflineVerifier::run(const MergedTrace& trace) {
   Result result;
-  Replayer replayer(store_.get(), &registry_);
+  Replayer replayer(&store_, &registry_);
   std::unordered_set<std::uint64_t> recorded_fingerprints;
   std::uint64_t previous_ns = 0;
   bool first = true;

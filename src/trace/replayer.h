@@ -5,16 +5,16 @@
 #include <string>
 #include <vector>
 
+#include "core/dependency_state.h"
 #include "core/incremental_checker.h"
 #include "core/state_store.h"
 #include "core/task_registry.h"
 #include "trace/format.h"
 
 /// Replay side of the trace subsystem: feed a recorded event stream back
-/// into any StateStore — a fresh local DependencyState, a shared one, or a
-/// dist::SharedStore slice over armus-kv — and re-run the deadlock
-/// analysis offline, under the same or a *different* graph model than the
-/// live run used. `tools/armus_trace.cc` is the CLI over this;
+/// into a StateStore and TaskRegistry (Replayer), and re-run the deadlock
+/// analysis offline (OfflineVerifier), under the same or a *different*
+/// graph model than the live run used. `tools/armus_trace.cc` is the CLI over this;
 /// tests/trace_test.cc pins replay ≡ live.
 namespace armus::trace {
 
@@ -97,10 +97,6 @@ class OfflineVerifier {
     /// Override to re-verify a capture under a different model.
     GraphModel model = GraphModel::kAuto;
 
-    /// Store replayed statuses land in. nullptr = fresh DependencyState;
-    /// pass a dist::SharedStore to replay into armus-kv.
-    std::shared_ptr<StateStore> store;
-
     /// Run one check per recorded SCAN (default). Off = only the final
     /// check (when final_scan is set).
     bool scan_at_records = true;
@@ -146,7 +142,7 @@ class OfflineVerifier {
   void check_now(Result* result);
 
   Options options_;
-  std::shared_ptr<StateStore> store_;
+  DependencyState store_;
   TaskRegistry registry_;
   IncrementalChecker incremental_;
 };

@@ -7,7 +7,9 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 
+#include "core/dependency_state.h"
 #include "core/verifier.h"
 
 namespace armus {
@@ -126,6 +128,96 @@ TEST(VerifierAvoidanceTest, IndependentBlockersPass) {
   EXPECT_NO_THROW(verifier.before_block(status(1, {{1, 1}}, {{1, 1}})));
   EXPECT_NO_THROW(verifier.before_block(status(2, {{1, 1}}, {{1, 1}})));
   EXPECT_EQ(verifier.state().blocked_count(), 2u);
+}
+
+/// A DependencyState wrapper that pauses `pause_task`'s set_blocked after
+/// the publish, until release() or `max_pause`: it holds open the window
+/// between a block's publish and its doom check.
+class PausingStore final : public StateStore {
+ public:
+  PausingStore(TaskId pause_task, std::chrono::milliseconds max_pause)
+      : pause_task_(pause_task), max_pause_(max_pause) {}
+
+  void set_blocked(BlockedStatus status) override {
+    TaskId task = status.task;
+    inner_.set_blocked(std::move(status));
+    if (task != pause_task_) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    paused_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, max_pause_, [this] { return released_; });
+  }
+  void clear_blocked(TaskId task) override { inner_.clear_blocked(task); }
+  [[nodiscard]] std::vector<BlockedStatus> snapshot() const override {
+    return inner_.snapshot();
+  }
+  [[nodiscard]] std::size_t blocked_count() const override {
+    return inner_.blocked_count();
+  }
+  void clear() override { inner_.clear(); }
+  [[nodiscard]] std::uint64_t version() const override {
+    return inner_.version();
+  }
+
+  void wait_paused() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return paused_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  DependencyState inner_;
+  TaskId pause_task_;
+  std::chrono::milliseconds max_pause_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool paused_ = false;
+  bool released_ = false;
+};
+
+TEST(VerifierAvoidanceTest, OnlyATaskOnTheClosedCycleIsInterrupted) {
+  // t2's block closes the cycle t1 <-> t2, and the store pauses t2 between
+  // its publish and its doom check. In that window t3 blocks: it waits
+  // behind the cycle (impeded by t2) but is not on it. t2's withdrawal
+  // breaks the cycle, so t3 must not be interrupted. The pause ends when
+  // t3's block returns or after 250 ms: a t3 check inside the window is
+  // the bug; a t3 that waits for t2's critical section is the fix.
+  auto store = std::make_shared<PausingStore>(2, 250ms);
+  VerifierConfig config;
+  config.mode = VerifyMode::kAvoidance;
+  config.store = store;
+  Verifier verifier(config);
+
+  verifier.before_block(status(1, {{1, 1}}, {{1, 1}, {2, 0}}));
+  std::atomic<bool> t2_interrupted{false};
+  std::thread t2([&] {
+    try {
+      verifier.before_block(status(2, {{2, 1}}, {{1, 0}, {2, 1}}));
+    } catch (const DeadlockAvoidedError&) {
+      t2_interrupted = true;
+    }
+  });
+  store->wait_paused();
+  std::atomic<bool> t3_interrupted{false};
+  std::thread t3([&] {
+    try {
+      verifier.before_block(status(3, {{1, 1}}, {{1, 1}}));
+    } catch (const DeadlockAvoidedError&) {
+      t3_interrupted = true;
+    }
+    store->release();
+  });
+  t3.join();
+  t2.join();
+
+  EXPECT_TRUE(t2_interrupted);
+  EXPECT_FALSE(t3_interrupted);
+  EXPECT_EQ(verifier.stats().avoidance_interrupts, 1u);
+  EXPECT_EQ(verifier.state().blocked_count(), 2u);  // t1 and t3
 }
 
 TEST(VerifierOffTest, HooksAreNoOps) {

@@ -248,24 +248,26 @@ TEST(SliceCacheTest, ClearForcesRedecodeDespiteMatchingVersions) {
   EXPECT_EQ(cache.merged()[0].task, 9u);
 }
 
-TEST(SharedStoreTest, BlockedCountIsCachedByVersion) {
+TEST(CachedSliceReaderTest, CountIsCachedByVersion) {
   auto backing = std::make_shared<Store>();
-  SharedStore a(backing, 0);
-  SharedStore b(backing, 1);
-  a.set_blocked(status(1, {{1, 1}}, {{1, 1}}));
-  b.set_blocked(status(2, {{2, 1}}, {{2, 1}}));
+  backing->put_slice(0, encode_statuses({status(1, {{1, 1}}, {{1, 1}})}));
+  backing->put_slice(1, encode_statuses({status(2, {{2, 1}}, {{2, 1}})}));
 
-  (void)a.blocked_count();
-  std::uint64_t baseline = a.decode_count();
+  CachedSliceReader reader;
+  reader.read(*backing);
+  std::uint64_t baseline = reader.decodes();
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(a.blocked_count(), 2u);
-    EXPECT_EQ(a.snapshot().size(), 2u);
+    reader.read(*backing);
+    EXPECT_EQ(reader.merged_count(), 2u);
+    EXPECT_EQ(reader.merged().size(), 2u);
   }
-  EXPECT_EQ(a.decode_count(), baseline);  // nothing changed, nothing decoded
+  EXPECT_EQ(reader.decodes(), baseline);  // nothing changed, nothing decoded
 
-  b.set_blocked(status(3, {{2, 1}}, {{2, 1}}));  // one slice changes
-  EXPECT_EQ(a.blocked_count(), 3u);
-  EXPECT_EQ(a.decode_count(), baseline + 1);
+  backing->put_slice(1, encode_statuses({status(2, {{2, 1}}, {{2, 1}}),
+                                         status(3, {{2, 1}}, {{2, 1}})}));
+  reader.read(*backing);  // one slice changed
+  EXPECT_EQ(reader.merged_count(), 3u);
+  EXPECT_EQ(reader.decodes(), baseline + 1);
 }
 
 // --- sites -------------------------------------------------------------------

@@ -2,15 +2,14 @@
 // (including the byte-level examples pinned by docs/WIRE_PROTOCOL.md),
 // server request handling and error codes, RemoteStore round trips over
 // real TCP, disconnect/reconnect with backoff, stale-version rejection,
-// and Site/SharedStore behaviour across server outages.
+// Site behaviour across server outages, and the env path (site_from_env).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <optional>
 #include <thread>
-
-#include "core/checker.h"
 
 #include "dist/site.h"
 #include "fuzz/wire.h"
@@ -20,6 +19,8 @@
 #include "net/remote_store.h"
 #include "net/socket_io.h"
 #include "net/watch.h"
+#include "phaser/phaser.h"
+#include "runtime/task.h"
 
 namespace armus::net {
 namespace {
@@ -46,6 +47,17 @@ RemoteStore::Config client_config(std::uint16_t port) {
   config.backoff_initial = 5ms;
   config.backoff_max = 20ms;
   return config;
+}
+
+/// Polls `pred` (10 ms period) until it holds or `deadline` passes.
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds deadline = 5000ms) {
+  auto until = std::chrono::steady_clock::now() + deadline;
+  while (std::chrono::steady_clock::now() < until) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(10ms);
+  }
+  return pred();
 }
 
 std::string hex(std::string_view bytes) {
@@ -497,35 +509,6 @@ TEST(RemoteStoreTest, DeltaPutsOverTcp) {
                dist::SliceBaseMismatchError);
 }
 
-TEST(NetSharedStoreTest, EpochSkipsVerifierScansAcrossTheWire) {
-  KvServer server;
-  server.start();
-  auto remote = std::make_shared<RemoteStore>(client_config(server.port()));
-  auto shared = std::make_shared<dist::SharedStore>(remote, 0);
-
-  VerifierConfig config;
-  config.mode = VerifyMode::kDetection;
-  config.scanner_enabled = false;
-  config.store = shared;
-  Verifier verifier(config);
-
-  verifier.state().set_blocked(status(1, {{1, 1}}, {{2, 0}}));
-  EXPECT_TRUE(verifier.scan_now());
-  // Nothing changed anywhere in the cluster: every further scan is one
-  // payload-free LIST_SLICES_SINCE round trip and no graph work.
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(verifier.scan_now());
-  EXPECT_EQ(verifier.stats().scans_skipped, 5u);
-  EXPECT_EQ(verifier.stats().graphs_built, 1u);
-
-  // Another process publishes the other half of a cycle: the epoch moves,
-  // the next scan runs and detects it.
-  RemoteStore other(client_config(server.port()));
-  other.put_slice(5, dist::encode_statuses({status(50, {{2, 1}}, {{1, 0}})}));
-  EXPECT_TRUE(verifier.scan_now());
-  ASSERT_EQ(verifier.reported().size(), 1u);
-  EXPECT_EQ(verifier.reported()[0].tasks, (std::vector<TaskId>{1, 50}));
-}
-
 TEST(RemoteStoreTest, DisconnectBacksOffThenReconnects) {
   auto backing = std::make_shared<dist::Store>();
   KvServer::Config server_config;
@@ -557,7 +540,7 @@ TEST(RemoteStoreTest, DisconnectBacksOffThenReconnects) {
   EXPECT_EQ(slice->payload, "after-recovery");
 }
 
-// --- Site / SharedStore over armus-kv ----------------------------------------
+// --- Site over armus-kv -------------------------------------------------------
 
 void plant_cross_site_cycle(dist::Site& a, dist::Site& b) {
   a.verifier().state().set_blocked(status(1, {{1, 1}}, {{1, 1}, {2, 0}}));
@@ -710,52 +693,57 @@ TEST(NetSiteTest, PeriodicLoopsDetectThroughServerRestart) {
   EXPECT_EQ(a.stats().deadlocks_found, 1u);
 }
 
-TEST(NetSharedStoreTest, VerifierOverTcpSeesRemoteTasks) {
+TEST(NetSiteTest, UnchangedStoreSkipsChecksAcrossTheWire) {
   KvServer server;
   server.start();
+  dist::Site::Config config;
+  config.id = 0;
+  dist::Site site(config,
+                  std::make_shared<RemoteStore>(client_config(server.port())));
 
-  auto store_a = std::make_shared<dist::SharedStore>(
-      std::make_shared<RemoteStore>(client_config(server.port())), 0);
-  auto store_b = std::make_shared<dist::SharedStore>(
-      std::make_shared<RemoteStore>(client_config(server.port())), 1);
+  site.verifier().state().set_blocked(status(1, {{1, 1}}, {{2, 0}}));
+  ASSERT_TRUE(site.publish_now());
+  ASSERT_TRUE(site.check_now());
+  // Nothing changed anywhere in the cluster: every further check is one
+  // payload-free LIST_SLICES_SINCE round trip and no graph work.
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(site.check_now());
+  EXPECT_EQ(site.stats().checks_skipped, 5u);
+  EXPECT_EQ(site.stats().checks, 1u);
 
-  store_a->set_blocked(status(1, {{1, 1}}, {{1, 1}, {2, 0}}));
-  store_b->set_blocked(status(2, {{2, 1}}, {{1, 0}, {2, 1}}));
-
-  // Either window sees the global merged state...
-  EXPECT_EQ(store_a->blocked_count(), 2u);
-  EXPECT_EQ(store_b->snapshot().size(), 2u);
-
-  // ...and a checker over one of them closes the cross-process cycle.
-  CheckResult result = check_deadlocks(store_a->snapshot(), GraphModel::kAuto);
-  ASSERT_EQ(result.reports.size(), 1u);
-  EXPECT_EQ(result.reports[0].tasks, (std::vector<TaskId>{1, 2}));
+  // Another process publishes the other half of a cycle: the store version
+  // moves, the next check runs and detects it.
+  RemoteStore other(client_config(server.port()));
+  other.put_slice(5, dist::encode_statuses({status(50, {{2, 1}}, {{1, 0}})}));
+  ASSERT_TRUE(site.check_now());
+  ASSERT_EQ(site.reported().size(), 1u);
+  EXPECT_EQ(site.reported()[0].tasks, (std::vector<TaskId>{1, 50}));
 }
 
-TEST(NetSharedStoreTest, RepeatedReadsDoNotRedecodeUnchangedSlices) {
+TEST(NetCachedSliceReaderTest, RepeatedReadsDoNotRedecodeUnchangedSlices) {
   KvServer server;
   server.start();
-  auto store = std::make_shared<dist::SharedStore>(
-      std::make_shared<RemoteStore>(client_config(server.port())), 0);
+  RemoteStore remote(client_config(server.port()));
   RemoteStore other(client_config(server.port()));
   other.put_slice(1, dist::encode_statuses({status(10, {{1, 1}}, {})}));
+  remote.put_slice(0, dist::encode_statuses({status(1, {{2, 1}}, {{2, 1}})}));
 
-  store->set_blocked(status(1, {{2, 1}}, {{2, 1}}));
-  (void)store->blocked_count();
-  std::uint64_t decodes_after_first = store->decode_count();
-  EXPECT_GE(decodes_after_first, 2u);  // both slices decoded once
+  dist::CachedSliceReader reader;
+  reader.read(remote);
+  EXPECT_EQ(reader.decodes(), 2u);  // both slices decoded once
 
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(store->blocked_count(), 2u);
-    (void)store->snapshot();
+    EXPECT_EQ(reader.read(remote).outcome,
+              dist::CachedSliceReader::Outcome::kUnchanged);
+    EXPECT_EQ(reader.merged_count(), 2u);
   }
-  // 22 further reads, zero further decodes: O(changed slices).
-  EXPECT_EQ(store->decode_count(), decodes_after_first);
+  // 10 further reads, zero further decodes: O(changed slices).
+  EXPECT_EQ(reader.decodes(), 2u);
 
   // One slice changes → exactly one further decode.
   other.put_slice(1, dist::encode_statuses({status(10, {{1, 2}}, {})}));
-  EXPECT_EQ(store->blocked_count(), 2u);
-  EXPECT_EQ(store->decode_count(), decodes_after_first + 1);
+  reader.read(remote);
+  EXPECT_EQ(reader.merged_count(), 2u);
+  EXPECT_EQ(reader.decodes(), 3u);
 }
 
 // --- config / env ------------------------------------------------------------
@@ -795,41 +783,139 @@ class EnvGuard {
   std::optional<std::string> previous_;
 };
 
+/// Pins the variables site_from_env reads that a test does not set, so
+/// the caller's environment cannot leak into it.
+struct SiteEnvGuard {
+  EnvGuard store{"ARMUS_STORE"};
+  EnvGuard site{"ARMUS_SITE_ID"};
+  EnvGuard mode{"ARMUS_MODE"};
+  EnvGuard model{"ARMUS_GRAPH_MODEL"};
+  EnvGuard period{"ARMUS_CHECK_PERIOD_MS"};
+
+  SiteEnvGuard() {
+    for (const char* name : {"ARMUS_STORE", "ARMUS_SITE_ID", "ARMUS_MODE",
+                             "ARMUS_GRAPH_MODEL", "ARMUS_CHECK_PERIOD_MS"}) {
+      ::unsetenv(name);
+    }
+  }
+};
+
 TEST(NetConfigTest, EnvSelectsRemoteBackend) {
   KvServer server;
   server.start();
-  EnvGuard store_guard("ARMUS_STORE");
-  EnvGuard site_guard("ARMUS_SITE_ID");
-  EnvGuard scanner_guard("ARMUS_SCANNER");
+  SiteEnvGuard guard;
   std::string url = "tcp://127.0.0.1:" + std::to_string(server.port());
   ::setenv("ARMUS_STORE", url.c_str(), 1);
   ::setenv("ARMUS_SITE_ID", "5", 1);
-  ::setenv("ARMUS_SCANNER", "0", 1);
 
-  VerifierConfig config = verifier_config_from_env();
-  ASSERT_NE(config.store, nullptr);
-  auto shared = std::dynamic_pointer_cast<dist::SharedStore>(config.store);
-  ASSERT_NE(shared, nullptr);
-  EXPECT_EQ(shared->site(), 5u);
+  // Periods too long to fire: the test publishes by hand.
+  dist::Site::Config base;
+  base.publish_period = base.check_period = std::chrono::hours(1);
+  std::unique_ptr<dist::Site> site = site_from_env(base);
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->id(), 5u);
+  EXPECT_EQ(site->verifier().mode(), VerifyMode::kDetection);
+  EXPECT_NE(std::dynamic_pointer_cast<RemoteStore>(site->store()), nullptr);
 
-  // A Verifier built from the env config publishes straight into armus-kv.
-  Verifier verifier(config);
-  verifier.state().set_blocked(status(50, {{9, 1}}, {{9, 1}}));
+  // The site publishes straight into armus-kv, registrations included.
+  site->verifier().state().set_blocked(status(50, {{9, 1}}, {}));
+  site->verifier().registry().set_entry(50, 9, 1);
+  ASSERT_TRUE(site->publish_now());
   auto slice = server.backing()->get_slice(5);
   ASSERT_TRUE(slice.has_value());
-  EXPECT_EQ(dist::decode_statuses(slice->payload).size(), 1u);
+  EXPECT_EQ(dist::decode_statuses(slice->payload),
+            (std::vector<BlockedStatus>{status(50, {{9, 1}}, {{9, 1}})}));
 }
 
 TEST(NetConfigTest, UnsetEnvMeansLocalStore) {
-  EnvGuard store_guard("ARMUS_STORE");
-  ::unsetenv("ARMUS_STORE");
+  SiteEnvGuard guard;
   EXPECT_EQ(slice_store_from_env(), nullptr);
+  EXPECT_EQ(site_from_env(), nullptr);
 }
 
 TEST(NetConfigTest, MalformedEnvThrows) {
-  EnvGuard store_guard("ARMUS_STORE");
+  SiteEnvGuard guard;
   ::setenv("ARMUS_STORE", "tcp://missing-port", 1);
   EXPECT_THROW(slice_store_from_env(), std::invalid_argument);
+  EXPECT_THROW(site_from_env(), std::invalid_argument);
+}
+
+TEST(NetConfigTest, SiteFromEnvRefusesModesOtherThanDetection) {
+  // A site only detects: avoidance (or off) with a shared store must fail
+  // at start-up, not run a checker the user did not ask for.
+  SiteEnvGuard guard;
+  ::setenv("ARMUS_STORE", "tcp://127.0.0.1:1", 1);
+  for (const char* mode : {"avoidance", "off"}) {
+    ::setenv("ARMUS_MODE", mode, 1);
+    EXPECT_THROW(site_from_env(), std::invalid_argument) << mode;
+  }
+}
+
+TEST(NetConfigTest, TwoSitesFromEnvBothReportACrossSitePhaserDeadlock) {
+  // The env path end to end, through real phasers: two sites built by
+  // site_from_env over one armus-kv server, a task bound to each, and a
+  // two-task deadlock that only the merged snapshot contains.
+  KvServer server;
+  server.start();
+  SiteEnvGuard guard;
+  std::string url = "tcp://127.0.0.1:" + std::to_string(server.port());
+  ::setenv("ARMUS_STORE", url.c_str(), 1);
+  ::setenv("ARMUS_CHECK_PERIOD_MS", "20", 1);
+  ::setenv("ARMUS_SITE_ID", "0", 1);
+  std::unique_ptr<dist::Site> site0 = site_from_env();
+  ::setenv("ARMUS_SITE_ID", "1", 1);
+  std::unique_ptr<dist::Site> site1 = site_from_env();
+  ASSERT_NE(site0, nullptr);
+  ASSERT_NE(site1, nullptr);
+
+  auto p = ph::Phaser::create(&site0->verifier());
+  auto q = ph::Phaser::create(&site0->verifier());
+  // Neither body runs until both tasks are registered on both phasers.
+  std::atomic<bool> start{false};
+  auto register_both = [&](TaskId child) {
+    p->register_task(child, 0);
+    q->register_task(child, 0);
+  };
+  rt::Task ta = rt::spawn_with(
+      register_both,
+      [&] {
+        while (!start.load()) std::this_thread::yield();
+        TaskId self = rt::current_task();
+        p->arrive(self);
+        p->await(self, 1);  // blocked at site 0 until the rescue below
+        p->deregister(self);
+      },
+      &site0->verifier(), "site0-task");
+  rt::Task tb = rt::spawn_with(
+      register_both,
+      [&] {
+        while (!start.load()) std::this_thread::yield();
+        TaskId self = rt::current_task();
+        q->arrive(self);
+        q->await(self, 1);  // blocked at site 1: the cycle closes
+        p->arrive_and_deregister(self);
+        q->deregister(self);
+      },
+      &site1->verifier(), "site1-task");
+  start.store(true);
+
+  eventually([&] {
+    return !site0->reported().empty() && !site1->reported().empty();
+  });
+  std::vector<DeadlockReport> at0 = site0->reported();
+  std::vector<DeadlockReport> at1 = site1->reported();
+
+  // Rescue: dropping task A from q wakes B, whose arrival on p wakes A.
+  q->deregister(ta.id());
+  ta.join();
+  tb.join();
+
+  std::vector<TaskId> expected{ta.id(), tb.id()};
+  std::sort(expected.begin(), expected.end());
+  ASSERT_EQ(at0.size(), 1u);
+  ASSERT_EQ(at1.size(), 1u);
+  EXPECT_EQ(at0[0].tasks, expected);
+  EXPECT_EQ(at1[0].tasks, expected);
 }
 
 // --- STATS -------------------------------------------------------------------
@@ -1096,6 +1182,11 @@ TEST(KvServerTest, SlowReaderIsDroppedWithoutStallingOthers) {
   EXPECT_TRUE(client.heartbeat());
   EXPECT_EQ(client.snapshot().size(), 1u);
 
+  // Read only once the server has dropped the slow connection. A reader
+  // that starts earlier can keep up: receive-buffer autotuning grows the
+  // socket buffer until each 1 MiB response fits, and the cap never trips.
+  eventually([&] { return server.stats().dropped_backpressure >= 1; });
+
   // The slow reader's stream ends early: fewer than the 50 requested
   // frames arrive before EOF.
   int delivered = 0;
@@ -1107,17 +1198,6 @@ TEST(KvServerTest, SlowReaderIsDroppedWithoutStallingOthers) {
 }
 
 // --- high availability (docs/HA.md) ------------------------------------------
-
-/// Polls `pred` (10 ms period) until it holds or `deadline` passes.
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds deadline = 5000ms) {
-  auto until = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < until) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(10ms);
-  }
-  return pred();
-}
 
 /// A replica of the server on `primary_port`, with a pinned reconnect
 /// seed.

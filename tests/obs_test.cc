@@ -17,7 +17,6 @@
 #include "core/checker.h"
 #include "dist/codec.h"
 #include "dist/site.h"
-#include "net/config.h"
 #include "net/kv_server.h"
 #include "net/remote_store.h"
 #include "obs/env.h"
@@ -385,9 +384,9 @@ TEST(ObserverFromEnvTest, TraceAndEventsBothReceive) {
   EXPECT_EQ(recorder->records_written(), 1u);
   EXPECT_EQ(reporter->lines_written(), 1u);
 
-  VerifierConfig config_like = net::verifier_config_from_env();
-  ASSERT_NE(config_like.observer, nullptr);
-  config_like.observer->on_unblocked(11);
+  std::shared_ptr<EventObserver> again = observer_from_env();
+  ASSERT_NE(again, nullptr);
+  again->on_unblocked(11);
   EXPECT_EQ(recorder->records_written(), 2u);
   EXPECT_EQ(reporter->lines_written(), 2u);
 
@@ -517,13 +516,6 @@ TEST(ExportStatsTest, AllOverloadsPopulateTheRegistry) {
   rs.connects = 2;
   export_stats(registry, "client", rs);
   EXPECT_EQ(registry.counter("client.connects"), 2u);
-
-  auto backing = std::make_shared<dist::Store>();
-  backing->put_slice(1, dist::encode_statuses({status(1, {{1, 1}}, {})}));
-  dist::SharedStore shared(backing, 0);
-  (void)shared.blocked_count();
-  export_stats(registry, "shared", shared);
-  EXPECT_EQ(registry.counter("shared.decodes"), 1u);
 
   // Re-export overwrites: the registry mirrors, never accumulates.
   ks.requests = 50;

@@ -1,19 +1,18 @@
-// Tests for the pluggable StateStore API: a conformance suite run against
-// both the process-local implementation (DependencyState) and the
-// shared-global-store one (dist::SharedStore), codec round-trip property
-// tests, and cross-verifier deadlock detection through a shared store.
+// Tests for the pluggable StateStore API: a conformance suite for the
+// process-local implementation (DependencyState), codec round-trip property
+// tests, one Verifier per store, and cross-verifier deadlock detection
+// through the one sharing path (dist::Site slices).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 
 #include "core/dependency_state.h"
 #include "core/verifier.h"
 #include "dist/codec.h"
-#include "dist/store.h"
+#include "dist/site.h"
 #include "util/rng.h"
 
 namespace armus {
@@ -31,22 +30,10 @@ BlockedStatus status(TaskId task, std::vector<Resource> waits,
 // --- StateStore conformance ---------------------------------------------------
 
 /// Factory per implementation; the typed suite below runs every case
-/// against each. SharedStoreFactory hands out views onto one backing
-/// dist::Store, so the conformance suite also pins down the merged-view
-/// semantics (a second factory call is a *different site* of the same
-/// store).
+/// against each (DependencyState is the only one in the library).
 struct LocalStoreFactory {
   std::shared_ptr<StateStore> make() {
     return std::make_shared<DependencyState>();
-  }
-};
-
-struct SharedStoreFactory {
-  std::shared_ptr<dist::Store> backing = std::make_shared<dist::Store>();
-  dist::SiteId next_site = 0;
-
-  std::shared_ptr<StateStore> make() {
-    return std::make_shared<dist::SharedStore>(backing, next_site++);
   }
 };
 
@@ -56,7 +43,7 @@ class StateStoreConformanceTest : public ::testing::Test {
   Factory factory_;
 };
 
-using StoreFactories = ::testing::Types<LocalStoreFactory, SharedStoreFactory>;
+using StoreFactories = ::testing::Types<LocalStoreFactory>;
 TYPED_TEST_SUITE(StateStoreConformanceTest, StoreFactories);
 
 TYPED_TEST(StateStoreConformanceTest, StartsEmpty) {
@@ -110,16 +97,13 @@ TYPED_TEST(StateStoreConformanceTest, ClearEmptiesTheStore) {
 }
 
 TYPED_TEST(StateStoreConformanceTest, TwoStoresShareTheMergedView) {
-  // For the local factory both handles are independent stores; for the
-  // shared factory they are two sites of one global store, whose snapshots
-  // merge. Both behaviours are asserted through the same operations.
+  // Two stores never merge: statuses are shared only as dist::Site slices.
   auto a = this->factory_.make();
   auto b = this->factory_.make();
   a->set_blocked(status(1, {{1, 1}}, {}));
   b->set_blocked(status(2, {{2, 1}}, {}));
-  bool shared = std::is_same_v<TypeParam, SharedStoreFactory>;
-  EXPECT_EQ(a->snapshot().size(), shared ? 2u : 1u);
-  EXPECT_EQ(b->blocked_count(), shared ? 2u : 1u);
+  EXPECT_EQ(a->snapshot().size(), 1u);
+  EXPECT_EQ(b->blocked_count(), 1u);
   // clear() only drops the clearing store's own tasks.
   a->clear();
   auto remaining = b->snapshot();
@@ -156,13 +140,7 @@ TYPED_TEST(StateStoreConformanceTest, VersionSeesOtherPublishersWhenShared) {
   a->set_blocked(status(1, {{1, 1}}, {}));
   std::uint64_t va = a->version();
   b->set_blocked(status(2, {{2, 1}}, {}));
-  if (std::is_same_v<TypeParam, SharedStoreFactory>) {
-    // b is another site of the same global store: its publish must move
-    // a's epoch, or a's Verifier would skip the scan that sees b's tasks.
-    EXPECT_GT(a->version(), va);
-  } else {
-    EXPECT_EQ(a->version(), va);  // independent local stores
-  }
+  EXPECT_EQ(a->version(), va);  // independent stores: b's publish is not a's
 }
 
 // --- codec property tests -----------------------------------------------------
@@ -220,7 +198,7 @@ TEST(CodecPropertyTest, AppendedGarbageIsRejected) {
   EXPECT_THROW(dist::decode_statuses(bytes), dist::CodecError);
 }
 
-// --- cross-verifier deadlock through a shared store ---------------------------
+// --- one Verifier per store; sharing through site slices ---------------------
 
 /// Half a 2-task cycle per verifier; neither half alone is cyclic.
 void plant_split_cycle(Verifier& a, Verifier& b) {
@@ -228,85 +206,81 @@ void plant_split_cycle(Verifier& a, Verifier& b) {
   b.state().set_blocked(status(2, {{2, 1}}, {{1, 0}, {2, 1}}));
 }
 
-TEST(SharedStateTest, TwoVerifiersOnOneLocalStoreSeeEachOther) {
-  auto shared = std::make_shared<DependencyState>();
+VerifierConfig unscanned_config(std::shared_ptr<StateStore> store) {
   VerifierConfig config;
   config.mode = VerifyMode::kDetection;
   config.scanner_enabled = false;
-  config.store = shared;
-  Verifier a(config), b(config);
+  config.store = std::move(store);
+  return config;
+}
 
-  plant_split_cycle(a, b);
-  EXPECT_EQ(a.state().blocked_count(), 2u);  // both publishers visible
+TEST(SharedStateTest, SecondVerifierOnAHeldStoreThrows) {
+  auto store = std::make_shared<DependencyState>();
+  Verifier a(unscanned_config(store));
+  EXPECT_THROW(Verifier{unscanned_config(store)}, std::invalid_argument);
+  // The refused claim leaves a's hold, and a's use of the store, intact.
+  EXPECT_THROW(Verifier{unscanned_config(store)}, std::invalid_argument);
+  a.before_block(status(1, {{1, 1}}, {{1, 0}}));
+  EXPECT_EQ(store->blocked_count(), 1u);
+}
 
-  // Either verifier's checker sees the cross-verifier cycle.
-  CheckResult at_a = a.check_now();
-  CheckResult at_b = b.check_now();
-  ASSERT_EQ(at_a.reports.size(), 1u);
-  ASSERT_EQ(at_b.reports.size(), 1u);
-  EXPECT_EQ(at_a.reports[0].tasks, (std::vector<TaskId>{1, 2}));
-  EXPECT_EQ(at_b.reports[0].tasks, (std::vector<TaskId>{1, 2}));
+TEST(SharedStateTest, StoreIsClaimableAgainAfterItsVerifierIsDestroyed) {
+  auto store = std::make_shared<DependencyState>();
+  { Verifier a(unscanned_config(store)); }
+  Verifier b(unscanned_config(store));
+  EXPECT_EQ(b.store().get(), store.get());
 }
 
 TEST(SharedStateTest, ScannerDetectsCrossVerifierCycle) {
-  auto shared = std::make_shared<DependencyState>();
-  VerifierConfig ca;
-  ca.mode = VerifyMode::kDetection;
-  ca.scanner_enabled = false;
-  ca.store = shared;
-  Verifier a(ca);  // pure publisher
-
+  // Verifiers see each other's tasks as dist::Site slices: every site's
+  // periodic checker finds the cycle split across two verifiers.
   std::mutex m;
   std::condition_variable cv;
   std::vector<DeadlockReport> got;
-  VerifierConfig cb = ca;
-  cb.scanner_enabled = true;
-  cb.period = std::chrono::milliseconds(5);
-  cb.on_deadlock = [&](const DeadlockReport& r) {
+  dist::Cluster::Config config;
+  config.site_count = 2;
+  config.publish_period = std::chrono::milliseconds(5);
+  config.check_period = std::chrono::milliseconds(5);
+  config.on_deadlock = [&](dist::SiteId, const DeadlockReport& r) {
     std::lock_guard<std::mutex> lock(m);
     got.push_back(r);
     cv.notify_all();
   };
-  Verifier b(cb);  // the one checker of the shared state
+  dist::Cluster cluster(config);
+  plant_split_cycle(cluster.site(0).verifier(), cluster.site(1).verifier());
+  cluster.start();
 
-  plant_split_cycle(a, b);
   std::unique_lock<std::mutex> lock(m);
   ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(2),
-                          [&] { return !got.empty(); }));
+                          [&] { return got.size() >= 2; }));
   EXPECT_EQ(got[0].tasks, (std::vector<TaskId>{1, 2}));
+  EXPECT_EQ(got[1].tasks, (std::vector<TaskId>{1, 2}));
 }
 
 TEST(SharedStateTest, UnblockByOneVerifierVisibleToTheOther) {
-  auto shared = std::make_shared<DependencyState>();
-  VerifierConfig config;
-  config.mode = VerifyMode::kDetection;
-  config.scanner_enabled = false;
-  config.store = shared;
-  Verifier a(config), b(config);
-  a.before_block(status(1, {{1, 1}}, {{1, 0}}));
-  EXPECT_EQ(b.state().blocked_count(), 1u);
-  a.after_unblock(1);
-  EXPECT_EQ(b.state().blocked_count(), 0u);
-}
+  auto store = std::make_shared<dist::Store>();
+  dist::Site::Config ca, cb;
+  ca.id = 0;
+  cb.id = 1;
+  dist::Site a(ca, store), b(cb, store);
 
-TEST(SharedStateTest, CrossSiteCycleThroughSharedStoreViews) {
-  // The same split cycle, but each verifier talks to its own *site view*
-  // of one dist::Store — statuses round-trip through the codec and the
-  // slice store before the checker sees them.
-  auto backing = std::make_shared<dist::Store>();
-  VerifierConfig ca, cb;
-  ca.mode = cb.mode = VerifyMode::kDetection;
-  ca.scanner_enabled = cb.scanner_enabled = false;
-  ca.store = std::make_shared<dist::SharedStore>(backing, 0);
-  cb.store = std::make_shared<dist::SharedStore>(backing, 1);
-  Verifier a(ca), b(cb);
+  // a blocks and unblocks task 1; b then blocks task 2, the other half of
+  // the cycle. b's check sees a's unblock, so there is no cycle.
+  a.verifier().before_block(status(1, {{1, 1}}, {{1, 1}, {2, 0}}));
+  ASSERT_TRUE(a.publish_now());
+  a.verifier().after_unblock(1);
+  ASSERT_TRUE(a.publish_now());
+  b.verifier().before_block(status(2, {{2, 1}}, {{1, 0}, {2, 1}}));
+  ASSERT_TRUE(b.publish_now());
+  ASSERT_TRUE(b.check_now());
+  EXPECT_TRUE(b.reported().empty());
 
-  plant_split_cycle(a, b);
-  CheckResult result = a.check_now();
-  ASSERT_EQ(result.reports.size(), 1u);
-  EXPECT_EQ(result.reports[0].tasks, (std::vector<TaskId>{1, 2}));
-  EXPECT_GT(backing->writes(), 0u);
-  EXPECT_GT(backing->reads(), 0u);
+  // a blocks task 1 again: b's next check sees the block and the cycle.
+  a.verifier().before_block(status(1, {{1, 1}}, {{1, 1}, {2, 0}}));
+  ASSERT_TRUE(a.publish_now());
+  ASSERT_TRUE(b.check_now());
+  ASSERT_EQ(b.reported().size(), 1u);
+  EXPECT_EQ(b.reported()[0].tasks, (std::vector<TaskId>{1, 2}));
 }
 
 TEST(SharedStateTest, DefaultConfigKeepsStoresPrivate) {

@@ -3,7 +3,7 @@
 // property tests, recorder deduplication, and the replay-equivalence
 // suite — replaying a recorded run must yield the identical deadlock
 // verdict and cycle task set as the live run, across all four graph
-// models and into any StateStore.
+// models.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -581,24 +581,6 @@ TEST(ReplayTest, AvoidanceInterruptReproducedOffline) {
   EXPECT_TRUE(result.cycles_match());
   ASSERT_EQ(result.recorded.size(), 1u);
   EXPECT_EQ(result.recorded[0].tasks, (std::vector<TaskId>{1, 2}));
-  std::remove(path.c_str());
-}
-
-TEST(ReplayTest, ReplaysIntoSharedStore) {
-  // "Feeds a recorded stream back into any StateStore": replay the same
-  // trace into a dist::SharedStore slice — the statuses round-trip through
-  // the slice codec and the verdict is unchanged.
-  std::string path = temp_path("shared_store");
-  std::vector<DeadlockReport> live = record_live_run(path, GraphModel::kAuto);
-  ASSERT_EQ(live.size(), 1u);
-
-  OfflineVerifier::Options options;
-  options.store =
-      std::make_shared<dist::SharedStore>(std::make_shared<dist::Store>(), 0);
-  OfflineVerifier verifier(options);
-  OfflineVerifier::Result result = verifier.run(MergedTrace({path}));
-  EXPECT_TRUE(result.verdicts_match());
-  EXPECT_TRUE(result.cycles_match());
   std::remove(path.c_str());
 }
 

@@ -62,10 +62,17 @@ struct LocalCase {
   VerifyMode mode;
 };
 
+std::string case_label(const LocalCase& c) {
+  return c.kernel + "_t" + std::to_string(c.threads) + "_" + to_string(c.mode);
+}
+
+// ctest names carry gtest's printout of the parameter. Without this it
+// prints the struct's raw bytes, which hold a heap pointer and so change
+// on every run of the test binary.
+void PrintTo(const LocalCase& c, std::ostream* os) { *os << case_label(c); }
+
 std::string case_name(const ::testing::TestParamInfo<LocalCase>& info) {
-  std::string mode = to_string(info.param.mode);
-  return info.param.kernel + "_t" + std::to_string(info.param.threads) + "_" +
-         mode;
+  return case_label(info.param);
 }
 
 class LocalKernelTest : public ::testing::TestWithParam<LocalCase> {};

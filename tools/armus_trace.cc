@@ -12,8 +12,6 @@
 //       verdict against the live run's recorded reports. Exit 0 iff they
 //       agree.
 //         --model wfg|sg|grg|auto   re-verify under a different graph model
-//         --store tcp://host:port   replay into armus-kv (dist::SharedStore)
-//         --site N                  slice id for --store (default 0)
 //         --speed K                 pace the replay at K× recorded speed
 //                                   (default: as fast as possible)
 //         --final-scan              run one extra check after the last record
@@ -54,9 +52,7 @@
 
 #include "core/graph_builder.h"
 #include "core/status_codec.h"
-#include "dist/store.h"
 #include "graph/dot.h"
-#include "net/config.h"
 #include "predict/predictor.h"
 #include "trace/format.h"
 #include "trace/replayer.h"
@@ -68,8 +64,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: armus-trace record -o <path> [--] <command> [args...]\n"
-               "       armus-trace verify [--model M] [--store URL --site N]\n"
-               "                          [--speed K] [--final-scan]\n"
+               "       armus-trace verify [--model M] [--speed K] [--final-scan]\n"
                "                          [--compare task-sets|union|off]\n"
                "                          <trace> [trace...]\n"
                "       armus-trace predict [--model M] [--witness-dir DIR]\n"
@@ -150,8 +145,6 @@ int cmd_verify(int argc, char** argv) {
   Compare compare = Compare::kTaskSets;
   bool model_set = false;
   bool compare_set = false;
-  std::string store_url;
-  dist::SiteId site = 0;
   std::vector<std::string> paths;
 
   for (int i = 0; i < argc; ++i) {
@@ -166,10 +159,6 @@ int cmd_verify(int argc, char** argv) {
     if (arg == "--model") {
       options.model = graph_model_from_string(value("--model"));
       model_set = true;
-    } else if (arg == "--store") {
-      store_url = value("--store");
-    } else if (arg == "--site") {
-      site = static_cast<dist::SiteId>(std::stoul(value("--site")));
     } else if (arg == "--speed") {
       options.speed = std::stod(value("--speed"));
     } else if (arg == "--final-scan") {
@@ -195,11 +184,6 @@ int cmd_verify(int argc, char** argv) {
     }
   }
   if (paths.empty()) return usage();
-
-  if (!store_url.empty()) {
-    options.store = std::make_shared<dist::SharedStore>(
-        net::remote_store_from_url(store_url), site);
-  }
 
   trace::MergedTrace merged(trace::expand_segments(paths));
   // Defaults come from the recorded run's header meta: re-verify under the
